@@ -107,9 +107,9 @@ impl Scale {
         Scale {
             stanford: None,
             campus: None,
-            detect_ms_per_s: [16_000, 4_000, 4_000, 10_000],
-            side_table: (5, 100),
-            side_table_small: (21, 50),
+            detect_ms_per_s: [16_000, 4_000, 4_000, 8_000],
+            side_table: (8, 100),
+            side_table_small: (80, 50),
         }
     }
 
